@@ -205,17 +205,20 @@ func (s *shard) superviseRestart(slot *homeSlot) {
 		if err != nil {
 			return err
 		}
+		// The rebuild came back clean: retire the forensics before the new
+		// generation is published, so no HomeStatus poll that sees the
+		// restarted, healthy home can still read the old poison record (in
+		// the cache or the persisted poison.json). Clearing after the
+		// publish would also risk wiping a poison of the new generation.
+		if dir := s.m.homeDir(slot.id); dir != "" {
+			rt.ClearPoisonRecord(dir)
+		}
+		slot.lastPoison.Store(nil)
 		slot.rt.Store(home)
 		return nil
 	})
 	if ok {
 		s.m.restarts.Add(1)
-		// The restart came back clean: retire the forensics so Status (and
-		// the persisted poison.json) reflect a healthy home again.
-		if dir := s.m.homeDir(slot.id); dir != "" {
-			rt.ClearPoisonRecord(dir)
-		}
-		slot.lastPoison.Store(nil)
 	} else if slot.sup.Quarantined() {
 		s.m.quarantined.Add(1)
 	}

@@ -110,10 +110,12 @@ func (rt *HomeRuntime) poison(err error) {
 		Message: err.Error(),
 		Stack:   rt.panicStack,
 	}
-	rt.poisonRec.Store(rec)
+	// Persist before publishing: whoever sees PoisonRecord non-nil also
+	// finds poison.json on disk.
 	if rt.cfg.DataDir != "" {
 		writePoisonRecord(rt.cfg.DataDir, rec)
 	}
+	rt.poisonRec.Store(rec)
 	if rt.cfg.OnPoison != nil {
 		rt.cfg.OnPoison(err)
 	}

@@ -261,7 +261,7 @@ func (c *evController) advance(run *evRun) {
 	// Conditional commands read the home through the lineage table's inferred
 	// current state (Fig 8) — never by querying devices.
 	if cmd.Condition != nil && c.table.CurrentState(cmd.Condition.Device) != cmd.Condition.Equals {
-		run.res.Skipped++
+		c.countSkipped(run.res)
 		c.emit(Event{Time: c.env.Now(), Kind: EvCommandSkipped, Routine: run.id, Device: d})
 		c.afterCommandOn(run, run.idx)
 		run.idx++
@@ -292,9 +292,9 @@ func (c *evController) onCommandDone(run *evRun, idx int, err error) {
 			c.advance(run)
 			return
 		}
-		run.res.BestEffortFailures++
+		c.countBestEffortFailure(run.res)
 	} else {
-		run.res.Executed++
+		c.countExecuted(run.res)
 		run.executed = append(run.executed, cmdRecord{idx: idx, dev: d, target: cmd.Target})
 		run.markFirstTouched(d)
 		if err := c.table.SetTarget(d, run.id, cmd.Target); err == nil {
@@ -459,7 +459,7 @@ func (c *evController) abortRun(run *evRun) {
 			continue
 		}
 		target := c.table.RollbackTarget(d, run.id)
-		run.res.RolledBack += modified[d]
+		c.countRolledBack(run.res, modified[d])
 		if target == device.StateUnknown || c.failed[d] {
 			continue
 		}

@@ -1,7 +1,8 @@
 package visibility
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"safehome/internal/device"
@@ -20,23 +21,35 @@ import (
 //
 //   - Everything reachable from a *StateExport is immutable once the export
 //     is returned. Readers on any goroutine may traverse it freely.
-//   - Building export N+1 from export N is O(changes since N), never
-//     O(total history).
+//   - Building export N+1 from export N is proportional to the routines and
+//     devices touched since N, never to the open set or the total history.
 //
-// Two idioms make that cheap:
+// Three idioms make that cheap:
 //
 //   - Write-once slots. A routine's Result can only change while the routine
 //     is unfinished. Finished results are written into a chunked slot array
 //     exactly once (at the first export after they finish) and shared by
-//     every later export; the handful of still-open routines ride in a small
-//     per-export overlay instead. Nothing is ever re-copied.
+//     every later export. Nothing is ever re-copied.
+//   - A copy-on-write open-routine overlay. Still-open routines have no
+//     final slot yet; an export reaches their records through a persistent
+//     overlay: an ascending spine of {chunk index, *[64]*Result} entries,
+//     each pointer an immutable copy of one open routine's record. The
+//     controller marks a routine dirty at every record mutation, and Export
+//     copies only the dirty records and the overlay chunks holding them;
+//     every other chunk is shared with the previous export, and a chunk
+//     whose routines all finished is dropped. The spine is split into a
+//     shared head and a short tail holding the newest chunks, where the
+//     churn of fresh routines lands, so an export copies a few tail entries
+//     rather than the spine. A standing backlog of thousands of open
+//     routines therefore costs nothing per export.
 //   - Bounded prefixes. Shared backing arrays only grow: an export records
 //     how many entries it may read, and the single writer only writes at
 //     indexes beyond every published bound, so disjoint-index access needs
 //     no synchronization beyond the atomic publish itself.
 
 // resultChunkShift sizes result chunks at 64 entries (~9 KB of final
-// outcomes per chunk, allocated once per 64 routines).
+// outcomes per chunk, allocated once per 64 routines); overlay chunks cover
+// the same 64 routines with 64 pointers.
 const (
 	resultChunkShift = 6
 	resultChunkSize  = 1 << resultChunkShift
@@ -47,45 +60,101 @@ const (
 // first export after that routine finished.
 type resultChunk [resultChunkSize]Result
 
+// openRecords is one immutable overlay chunk: entry i points at a copy of
+// routine (chunkIndex<<shift)+i+1's record if that routine was open at the
+// export, and is nil otherwise (its outcome is then in the final slot).
+type openRecords [resultChunkSize]*Result
+
+// openChunk is one overlay spine entry: the chunk index, how many of its
+// routines are open, and their records.
+type openChunk struct {
+	ci, open int32
+	recs     *openRecords
+}
+
+func cmpChunk(oc openChunk, ci int32) int { return cmp.Compare(oc.ci, ci) }
+
+// maxOverlayTail bounds the overlay tail: past it, the older half of the
+// tail is folded into a fresh head, and the newer half, where fresh
+// routines still churn, stays in the tail. Fresh routines advance through
+// one new chunk per 64 submissions, so the head is rebuilt about once per
+// 4*64 routines unless a change lands in it.
+const maxOverlayTail = 8
+
 // ResultsExport is an immutable view of per-routine outcomes in submission
 // order. Routine IDs are assigned densely from 1, so result i (0-based)
 // belongs to routine ID i+1 and single-result lookup is O(1) — plus a
-// binary search over the (usually tiny) open-routine overlay.
+// binary search over the overlay spine.
 type ResultsExport struct {
 	// chunks is the shared spine of write-once final outcomes, bounded by n.
 	chunks []*resultChunk
 	n      int
-	// overlay carries the routines that were still unfinished at export
-	// time, in ascending ID order: their final slots are not written yet, so
-	// their current records are captured here instead.
-	overlay []Result
+	// head and tail carry the routines that were still unfinished at
+	// export time: their final slots are not written yet, so their current
+	// records are captured here instead. Both runs ascend by chunk index,
+	// every tail index above every head index. Each run, and each chunk in
+	// it, is shared with the neighbouring exports wherever nothing changed
+	// in between.
+	head, tail []openChunk
 }
 
 // Len returns the number of results.
 func (e *ResultsExport) Len() int { return e.n }
 
-// At returns result i (0-based, submission order).
-func (e *ResultsExport) At(i int) Result {
-	rid := routine.ID(i + 1)
-	if len(e.overlay) > 0 {
-		o := sort.Search(len(e.overlay), func(j int) bool { return e.overlay[j].ID >= rid })
-		if o < len(e.overlay) && e.overlay[o].ID == rid {
-			return e.overlay[o]
+// openRecs returns the overlay chunk of result chunk ci, or nil.
+func (e *ResultsExport) openRecs(ci int32) *openRecords {
+	run := e.head
+	if len(e.tail) > 0 && e.tail[0].ci <= ci {
+		run = e.tail
+	}
+	if o, ok := slices.BinarySearchFunc(run, ci, cmpChunk); ok {
+		return run[o].recs
+	}
+	return nil
+}
+
+// openCount returns the number of routines that were open at export time.
+func (e *ResultsExport) openCount() int {
+	n := 0
+	for _, run := range [2][]openChunk{e.head, e.tail} {
+		for _, oc := range run {
+			n += int(oc.open)
 		}
 	}
-	return e.chunks[i>>resultChunkShift][i&(resultChunkSize-1)]
+	return n
+}
+
+// At returns result i (0-based, submission order).
+func (e *ResultsExport) At(i int) Result {
+	ci, k := i>>resultChunkShift, i&(resultChunkSize-1)
+	if recs := e.openRecs(int32(ci)); recs != nil && recs[k] != nil {
+		return *recs[k]
+	}
+	return e.chunks[ci][k]
 }
 
 // AppendTo materializes the results into dst and returns the extended slice.
 func (e *ResultsExport) AppendTo(dst []Result) []Result {
-	o := 0
-	for i := 0; i < e.n; i++ {
-		if o < len(e.overlay) && e.overlay[o].ID == routine.ID(i+1) {
-			dst = append(dst, e.overlay[o])
-			o++
-			continue
+	runs := [2][]openChunk{e.head, e.tail}
+	r, o := 0, 0 // cursor: runs[r][o] is the next overlay chunk
+	for first := 0; first < e.n; first += resultChunkSize {
+		ci := first >> resultChunkShift
+		for r < len(runs) && o == len(runs[r]) {
+			r, o = r+1, 0
 		}
-		dst = append(dst, e.chunks[i>>resultChunkShift][i&(resultChunkSize-1)])
+		var recs *openRecords
+		if r < len(runs) && int(runs[r][o].ci) == ci {
+			recs = runs[r][o].recs
+			o++
+		}
+		final := e.chunks[ci]
+		for k := range min(resultChunkSize, e.n-first) {
+			if recs != nil && recs[k] != nil {
+				dst = append(dst, *recs[k])
+			} else {
+				dst = append(dst, final[k])
+			}
+		}
 	}
 	return dst
 }
@@ -157,17 +226,19 @@ type StateExport struct {
 type exportState struct {
 	prev *StateExport
 
-	// open tracks unfinished routines (their records may change at any time,
-	// so each export captures them in its overlay); finishedDirty lists the
-	// routines that finished since the last export, whose final slots the
-	// next export writes.
-	open          map[routine.ID]struct{}
-	finishedDirty []routine.ID
+	// touched lists the routines whose records changed since the last
+	// export, in touch order with adjacent repeats dropped: the next export
+	// copies the open ones into its overlay and writes the final slots of
+	// the finished ones. open is scratch for one overlay chunk's rebuild.
+	touched []routine.ID
+	open    []*Result
 
 	// chunks is the writer's view of the shared final-outcome spine; slots
 	// and spine entries beyond the latest published bound are invisible to
-	// every published export.
-	chunks []*resultChunk
+	// every published export. head and tail are the latest published
+	// overlay runs (immutable).
+	chunks     []*resultChunk
+	head, tail []openChunk
 
 	// Committed-state twins: keys is the shared slot->device array, slots the
 	// current device->slot index (copied into exports on growth), dirtySlots
@@ -180,26 +251,23 @@ type exportState struct {
 }
 
 func newExportState() *exportState {
-	return &exportState{
-		open:  make(map[routine.ID]struct{}),
-		slots: make(map[device.ID]int),
-	}
+	return &exportState{slots: make(map[device.ID]int)}
 }
 
 // slot returns the final-outcome slot of a routine (valid once the spine
 // covers it).
 func (x *exportState) slot(rid routine.ID) *Result {
-	return &x.chunks[(int64(rid)-1)>>resultChunkShift][(int64(rid)-1)&(resultChunkSize-1)]
+	return &x.chunks[chunkOf(rid)][slotOf(rid)]
 }
 
-// noteOpen records a newly submitted routine (its record will keep changing
-// until it finishes).
-func (x *exportState) noteOpen(rid routine.ID) { x.open[rid] = struct{}{} }
-
-// noteFinished moves a routine from the open set to the finished-dirty list.
-func (x *exportState) noteFinished(rid routine.ID) {
-	delete(x.open, rid)
-	x.finishedDirty = append(x.finishedDirty, rid)
+// touch marks a routine's record dirty for the next export. A routine
+// touched again before anything else is recorded once; other repeats are
+// folded at export.
+func (x *exportState) touch(rid routine.ID) {
+	if n := len(x.touched); n > 0 && x.touched[n-1] == rid {
+		return
+	}
+	x.touched = append(x.touched, rid)
 }
 
 // noteCommittedState interns a slot for d and marks it dirty.
@@ -234,7 +302,6 @@ func (b *base) Export() *StateExport {
 	b.exportResults(out, n)
 	b.exportCommitted(out)
 
-	x.finishedDirty = x.finishedDirty[:0]
 	x.dirtySlots = x.dirtySlots[:0]
 	x.slotsGrown = false
 	x.prev = out
@@ -251,32 +318,148 @@ func (b *base) exportResults(out *StateExport, n int) {
 		x.chunks = append(x.chunks, new(resultChunk))
 	}
 
-	// Write the final slots of routines that finished since the last export,
-	// and retire their live records: the slot is now the (only) storage of a
-	// finished outcome, shared by the controller's own reads and every later
-	// export, so memory and GC scan work don't double. Older exports carried
-	// these routines in their overlays (they were open when those exports
-	// were cut), so no published reader resolves a slot before this write is
-	// published.
-	for _, rid := range x.finishedDirty {
-		if res, ok := b.results[rid]; ok {
+	if len(x.touched) > 0 {
+		b.foldTouched()
+	}
+	out.Results = ResultsExport{chunks: x.chunks, n: n, head: x.head, tail: x.tail}
+}
+
+// foldTouched folds the routines touched since the last export into the
+// overlay. Touches at chunks up to the head's last go to the head, the rest
+// (the newest routines, as a rule) to the tail; a run is copied only if one
+// of its chunks changed.
+func (b *base) foldTouched() {
+	x := b.export
+	touched := x.touched
+	slices.Sort(touched)
+	touched = slices.Compact(touched)
+	split := 0
+	if len(x.head) > 0 {
+		past := x.head[len(x.head)-1].ci + 1
+		split, _ = slices.BinarySearchFunc(touched, past, func(rid routine.ID, ci int32) int {
+			return cmp.Compare(chunkOf(rid), ci)
+		})
+	}
+	x.head = b.foldRun(x.head, touched[:split])
+	x.tail = b.foldRun(x.tail, touched[split:])
+	if len(x.tail) > maxOverlayTail {
+		older := len(x.tail) - maxOverlayTail/2
+		x.head, x.tail = slices.Concat(x.head, x.tail[:older]), x.tail[older:]
+	}
+	x.touched = x.touched[:0]
+}
+
+// foldRun applies sorted touched routines to one overlay run, chunk by
+// chunk: untouched chunks are shared, a touched chunk is copied with fresh
+// record copies for its touched open routines and nil for its finished
+// ones, and a chunk with no open routine left is dropped. It returns prev
+// itself if no chunk changed, else a new run (nil if empty).
+func (b *base) foldRun(prev []openChunk, touched []routine.ID) []openChunk {
+	groups := 0
+	for i, rid := range touched {
+		if i == 0 || chunkOf(rid) != chunkOf(touched[i-1]) {
+			groups++
+		}
+	}
+	var run []openChunk // nil until some chunk changes
+	p := 0              // prev[:p] is folded (into run, once it exists)
+	for ; len(touched) > 0; groups-- {
+		ci := chunkOf(touched[0])
+		g := 1
+		for g < len(touched) && chunkOf(touched[g]) == ci {
+			g++
+		}
+		group := touched[:g]
+		touched = touched[g:]
+
+		q, found := slices.BinarySearchFunc(prev[p:], ci, cmpChunk)
+		q += p
+		if run != nil {
+			run = append(run, prev[p:q]...)
+		}
+		p = q
+		var recs openRecords
+		var open int32
+		if found {
+			recs, open = *prev[q].recs, prev[q].open
+			p++
+		}
+
+		if !b.foldGroup(group, &recs, &open) {
+			if run != nil && found {
+				run = append(run, prev[q])
+			}
+			continue
+		}
+		if run == nil {
+			run = make([]openChunk, q, len(prev)+groups)
+			copy(run, prev[:q])
+		}
+		if open > 0 {
+			c := new(openRecords)
+			*c = recs
+			run = append(run, openChunk{ci: ci, open: open, recs: c})
+		}
+	}
+	if run == nil {
+		return prev
+	}
+	run = append(run, prev[p:]...)
+	if len(run) == 0 {
+		return nil
+	}
+	return run
+}
+
+// foldGroup applies one chunk's touched routines to a copy of its overlay
+// records and reports whether anything changed. An open routine gets a
+// fresh copy of its record. A finished routine gets its final slot written
+// and a nil overlay entry, and its live record is retired: the slot is now
+// the only storage of a finished outcome, shared by the controller's own
+// reads and every later export, so memory and GC scan work don't double.
+// Older exports reach the routine through their own overlays (it was open
+// when they were cut), so no published reader resolves a slot before this
+// write is published.
+func (b *base) foldGroup(group []routine.ID, recs *openRecords, open *int32) bool {
+	x := b.export
+	changed := false
+	x.open = x.open[:0]
+	for _, rid := range group {
+		res, live := b.results[rid]
+		if live && !res.Status.Finished() {
+			x.open = append(x.open, res)
+			continue
+		}
+		if live {
 			*x.slot(rid) = *res
 			delete(b.results, rid)
 		}
-	}
-
-	// Capture the still-open routines in this export's overlay.
-	var overlay []Result
-	if len(x.open) > 0 {
-		overlay = make([]Result, 0, len(x.open))
-		for rid := range x.open {
-			overlay = append(overlay, *b.results[rid])
+		if k := slotOf(rid); recs[k] != nil {
+			recs[k] = nil
+			*open--
+			changed = true
 		}
-		sort.Slice(overlay, func(i, j int) bool { return overlay[i].ID < overlay[j].ID })
 	}
-
-	out.Results = ResultsExport{chunks: x.chunks, n: n, overlay: overlay}
+	if len(x.open) > 0 {
+		copies := make([]Result, len(x.open))
+		for j, res := range x.open {
+			copies[j] = *res
+			k := slotOf(res.ID)
+			if recs[k] == nil {
+				*open++
+			}
+			recs[k] = &copies[j]
+		}
+		clear(x.open)
+		changed = true
+	}
+	return changed
 }
+
+// chunkOf and slotOf locate a routine's result: chunk index and the
+// position inside the chunk.
+func chunkOf(rid routine.ID) int32 { return int32((int64(rid) - 1) >> resultChunkShift) }
+func slotOf(rid routine.ID) int64  { return (int64(rid) - 1) & (resultChunkSize - 1) }
 
 func (b *base) exportCommitted(out *StateExport) {
 	x := b.export

@@ -2,6 +2,7 @@ package visibility
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -38,11 +39,10 @@ func assertExportMatches(t *testing.T, ctrl Controller, ex *StateExport) {
 	}
 	exported := ex.Results.AppendTo(nil)
 	for i := range direct {
-		if exported[i].ID != direct[i].ID || exported[i].Status != direct[i].Status ||
-			exported[i].Executed != direct[i].Executed || exported[i].Finished != direct[i].Finished {
+		if exported[i] != direct[i] {
 			t.Fatalf("result %d: export %+v != direct %+v", i, exported[i], direct[i])
 		}
-		if got := ex.Results.At(i); got.ID != direct[i].ID || got.Status != direct[i].Status {
+		if got := ex.Results.At(i); got != direct[i] {
 			t.Fatalf("At(%d) = %+v, want %+v", i, got, direct[i])
 		}
 	}
@@ -134,9 +134,9 @@ func TestExportSharesFinalChunksAndSkipsOverlay(t *testing.T) {
 		}
 	}
 	// Nothing was open at either export, so neither carries an overlay.
-	if len(a.Results.overlay) != 0 || len(b.Results.overlay) != 0 {
+	if a.Results.openCount() != 0 || b.Results.openCount() != 0 {
 		t.Fatalf("overlays = %d/%d entries, want empty (no open routines)",
-			len(a.Results.overlay), len(b.Results.overlay))
+			a.Results.openCount(), b.Results.openCount())
 	}
 }
 
@@ -152,8 +152,8 @@ func TestExportOverlayCarriesOpenRoutines(t *testing.T) {
 	ctrl.Submit(benchRoutine("open-1", 0))
 	ctrl.Submit(benchRoutine("open-2", 1))
 	ex := ctrl.Export()
-	if len(ex.Results.overlay) != 2 {
-		t.Fatalf("overlay has %d entries, want 2 open routines", len(ex.Results.overlay))
+	if ex.Results.openCount() != 2 {
+		t.Fatalf("overlay has %d entries, want 2 open routines", ex.Results.openCount())
 	}
 	for i := 0; i < ex.Results.Len(); i++ {
 		if res := ex.Results.At(i); res.Status.Finished() {
@@ -163,8 +163,8 @@ func TestExportOverlayCarriesOpenRoutines(t *testing.T) {
 	// Drain and re-export: the overlay empties, the slots become final.
 	s.Run()
 	ex2 := ctrl.Export()
-	if len(ex2.Results.overlay) != 0 {
-		t.Fatalf("overlay still has %d entries after drain", len(ex2.Results.overlay))
+	if ex2.Results.openCount() != 0 {
+		t.Fatalf("overlay still has %d entries after drain", ex2.Results.openCount())
 	}
 	assertExportMatches(t, ctrl, ex2)
 	// The old export still reports them open (immutability).
@@ -182,5 +182,220 @@ func TestExportUnchangedCommittedIsShared(t *testing.T) {
 	}
 	if a.Committed.Len() != 4 {
 		t.Fatalf("initial committed export has %d devices, want 4", a.Committed.Len())
+	}
+}
+
+// Served-shape export fixture, after one home of the backlog-live
+// benchmark: a standing backlog of long-hold routines queued round-robin on
+// the first half of the plugs (so it stays open), and short foreground
+// routines on the other half, one per step, as a home runtime publishes one
+// export per mailbox batch. Each foreground routine flips its device, so
+// every step also commits one device-state change.
+const (
+	servedPlugs    = 100
+	servedHold     = 20 * time.Millisecond
+	servedBacklogH = 10000 * time.Hour // outlives any benchmark run
+)
+
+type servedHome struct {
+	sim  *sim.Sim
+	ctrl Controller
+	fg   []*routine.Routine
+	i    int
+}
+
+func newServedHome(open int) *servedHome {
+	reg := device.Plugs(servedPlugs)
+	fleet := device.NewFleet(reg)
+	h := &servedHome{sim: sim.NewAtEpoch()}
+	h.ctrl = New(NewSimEnv(h.sim, fleet), fleet.Snapshot(), DefaultOptions(EV))
+	const half = servedPlugs / 2
+	for i := 0; i < open; i++ {
+		h.ctrl.Submit(routine.New(fmt.Sprintf("bg-%d", i), routine.Command{
+			Device:   device.ID(fmt.Sprintf("plug-%d", i%half)),
+			Target:   device.On,
+			Duration: servedBacklogH,
+		}))
+	}
+	h.sim.RunUntil(h.sim.Now().Add(time.Millisecond))
+	h.ctrl.Export()
+	// Pre-built foreground routines, cycled, so the timed loop builds nothing.
+	for i := 0; i < 2*half; i++ {
+		target := device.On
+		if i >= half {
+			target = device.Off
+		}
+		h.fg = append(h.fg, routine.New(fmt.Sprintf("fg-%d", i), routine.Command{
+			Device:   device.ID(fmt.Sprintf("plug-%d", half+i%half)),
+			Target:   target,
+			Duration: servedHold,
+		}))
+	}
+	return h
+}
+
+// submit places the next foreground routine; advance runs the clock past
+// its hold so it finishes before the next step's export.
+func (h *servedHome) submit() {
+	h.ctrl.Submit(h.fg[h.i%len(h.fg)])
+	h.i++
+}
+
+func (h *servedHome) advance() { h.sim.RunUntil(h.sim.Now().Add(2 * servedHold)) }
+
+var exportOpenSizes = []int{1, 10, 100, 1000, 10000}
+
+// BenchmarkExport times only Export in the served shape: each iteration
+// places one foreground routine, exports (timed), and runs the clock past
+// the foreground hold, so every export folds one finished and one new
+// routine into a snapshot that also carries the standing backlog. Publish
+// cost must stay flat in the backlog size.
+func BenchmarkExport(b *testing.B) {
+	for _, open := range exportOpenSizes {
+		b.Run(fmt.Sprintf("open=%d", open), func(b *testing.B) {
+			h := newServedHome(open)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				h.submit()
+				b.StartTimer()
+				h.ctrl.Export()
+				b.StopTimer()
+				h.advance()
+				b.StartTimer()
+			}
+		})
+	}
+}
+
+// exportAllocs returns the allocations of one Export in the served shape
+// with the given standing backlog: a step with the export minus a step
+// without it.
+func exportAllocs(open int) float64 {
+	h := newServedHome(open)
+	step := func(export bool) func() {
+		return func() {
+			h.submit()
+			if export {
+				h.ctrl.Export()
+			}
+			h.advance()
+		}
+	}
+	for i := 0; i < 2*resultChunkSize; i++ {
+		step(true)()
+	}
+	with := testing.AllocsPerRun(200, step(true))
+	return with - testing.AllocsPerRun(200, step(false))
+}
+
+func TestExportAllocsFlatInOpenSet(t *testing.T) {
+	small, large := exportAllocs(10), exportAllocs(10000)
+	if small != large {
+		t.Fatalf("allocs per export: %v at open=10, %v at open=10000; want equal", small, large)
+	}
+}
+
+// mixedRoutine draws a routine of 1-3 commands over the plugs that reaches
+// every Result counter: conditional commands (Skipped), best-effort ones
+// (BestEffortFailures when their device is down), and long holds that keep
+// routines open while failures strike (aborts, RolledBack).
+func mixedRoutine(rng *rand.Rand, i, plugs int) *routine.Routine {
+	r := routine.New(fmt.Sprintf("mixed-%d", i))
+	for c := 1 + rng.Intn(3); c > 0; c-- {
+		cmd := routine.Command{
+			Device:     device.ID(plugName(rng.Intn(plugs))),
+			Target:     device.On,
+			Duration:   time.Duration(rng.Intn(4)) * 100 * time.Millisecond,
+			BestEffort: rng.Intn(4) == 0,
+		}
+		if rng.Intn(2) == 0 {
+			cmd.Target = device.Off
+		}
+		if rng.Intn(5) == 0 {
+			cmd.Condition = &routine.Condition{Device: device.ID(plugName(rng.Intn(plugs))), Equals: device.On}
+		}
+		r.Commands = append(r.Commands, cmd)
+	}
+	return r
+}
+
+// TestExportTracksControllerUnderFailures cuts an export after every
+// simulator step of a failure-ridden run under every model, while open
+// routines spread over many result chunks, and checks each against the
+// controller's direct queries field by field: a record mutation that missed
+// its dirty mark fails here. Exports kept along the way must read exactly as
+// they did when cut, after every later copy-on-write write.
+func TestExportTracksControllerUnderFailures(t *testing.T) {
+	const plugs, routines = 12, 6 * resultChunkSize
+	for _, model := range Models {
+		t.Run(model.String(), func(t *testing.T) {
+			h := newTestHome(t, DefaultOptions(model), plugDevices(plugs)...)
+			// The oracle here is export/controller agreement. EV's lineage
+			// invariant check is off: this mix of failures and conditional
+			// commands trips its invariant 2 (see ROADMAP).
+			h.ctrl = New(h.env, h.fleet.Snapshot(), DefaultOptions(model))
+			rng := rand.New(rand.NewSource(int64(model) + 7))
+			for i := 0; i < routines; i++ {
+				h.submitAt(time.Duration(rng.Intn(3000))*time.Millisecond, mixedRoutine(rng, i, plugs))
+			}
+			for p := 0; p < plugs; p++ {
+				at := time.Duration(rng.Intn(300)) * time.Millisecond
+				for at < 4*time.Second {
+					down := time.Duration(50+rng.Intn(400)) * time.Millisecond
+					h.failAt(at, device.ID(plugName(p)))
+					h.restoreAt(at+down, device.ID(plugName(p)))
+					at += down + time.Duration(200+rng.Intn(1500))*time.Millisecond
+				}
+			}
+
+			type kept struct {
+				ex      *StateExport
+				results []Result
+				states  map[device.ID]device.State
+			}
+			var old []kept
+			maxChunks := 0
+			for step := 0; h.sim.Step(); step++ {
+				ex := h.ctrl.Export()
+				assertExportMatches(t, h.ctrl, ex)
+				maxChunks = max(maxChunks, len(ex.Results.head)+len(ex.Results.tail))
+				if step%64 == 0 {
+					old = append(old, kept{ex, ex.Results.AppendTo(nil), ex.Committed.AppendTo(nil)})
+				}
+			}
+			assertExportMatches(t, h.ctrl, h.ctrl.Export())
+			if maxChunks < 3 {
+				t.Fatalf("open routines spanned at most %d result chunks, want >= 3", maxChunks)
+			}
+
+			var skipped, bestEffort, rolledBack int
+			for _, res := range h.ctrl.Results() {
+				skipped += res.Skipped
+				bestEffort += res.BestEffortFailures
+				rolledBack += res.RolledBack
+			}
+			if skipped == 0 || bestEffort == 0 || (model != WV && rolledBack == 0) {
+				t.Fatalf("run reached skipped=%d best-effort failures=%d rolled back=%d; want every counter exercised",
+					skipped, bestEffort, rolledBack)
+			}
+
+			for _, k := range old {
+				again := k.ex.Results.AppendTo(nil)
+				for i := range k.results {
+					if again[i] != k.results[i] || k.ex.Results.At(i) != k.results[i] {
+						t.Fatalf("export of %d routines: result %d changed from %+v to %+v",
+							k.ex.Routines, i, k.results[i], again[i])
+					}
+				}
+				for d, st := range k.ex.Committed.AppendTo(nil) {
+					if k.states[d] != st {
+						t.Fatalf("export of %d routines: committed[%s] changed from %q to %q",
+							k.ex.Routines, d, k.states[d], st)
+					}
+				}
+			}
+		})
 	}
 }

@@ -83,7 +83,7 @@ func (c *gsvController) step(run *gsvRun) {
 	}
 	cmd := run.r.Commands[run.idx]
 	if !c.conditionMet(cmd) {
-		run.res.Skipped++
+		c.countSkipped(run.res)
 		c.emit(Event{Time: c.env.Now(), Kind: EvCommandSkipped, Routine: run.res.ID, Device: cmd.Device})
 		run.idx++
 		c.step(run)
@@ -110,9 +110,9 @@ func (c *gsvController) commandDone(run *gsvRun, idx int, err error) {
 			c.abort(run, fmt.Sprintf("must command on %s failed: %v", cmd.Device, err))
 			return
 		}
-		run.res.BestEffortFailures++
+		c.countBestEffortFailure(run.res)
 	} else {
-		run.res.Executed++
+		c.countExecuted(run.res)
 		if rec != nil {
 			run.executed = append(run.executed, *rec)
 		}
@@ -151,7 +151,7 @@ func (c *gsvController) abort(run *gsvRun, reason string) {
 	restored := make(map[device.ID]bool)
 	for i := len(records) - 1; i >= 0; i-- {
 		rec := records[i]
-		run.res.RolledBack++
+		c.countRolledBack(run.res, 1)
 		if restored[rec.dev] {
 			continue
 		}

@@ -120,7 +120,7 @@ func (c *psvController) step(run *psvRun) {
 	}
 	cmd := run.r.Commands[run.idx]
 	if !c.conditionMet(cmd) {
-		run.res.Skipped++
+		c.countSkipped(run.res)
 		c.emit(Event{Time: c.env.Now(), Kind: EvCommandSkipped, Routine: run.res.ID, Device: cmd.Device})
 		c.noteTouchBoundary(run, run.idx)
 		run.idx++
@@ -148,9 +148,9 @@ func (c *psvController) commandDone(run *psvRun, idx int, err error) {
 			c.abort(run, fmt.Sprintf("must command on %s failed: %v", cmd.Device, err))
 			return
 		}
-		run.res.BestEffortFailures++
+		c.countBestEffortFailure(run.res)
 	} else {
-		run.res.Executed++
+		c.countExecuted(run.res)
 		if rec != nil {
 			run.executed = append(run.executed, *rec)
 		}
@@ -209,7 +209,7 @@ func (c *psvController) abort(run *psvRun, reason string) {
 	restored := make(map[device.ID]bool)
 	for i := len(records) - 1; i >= 0; i-- {
 		rec := records[i]
-		run.res.RolledBack++
+		c.countRolledBack(run.res, 1)
 		if restored[rec.dev] {
 			continue
 		}

@@ -501,7 +501,7 @@ func (b *base) assign(r *routine.Routine) (*Result, *routine.Routine) {
 	}
 	b.results[cp.ID] = res
 	b.submitted = append(b.submitted, cp.ID)
-	b.export.noteOpen(cp.ID)
+	b.export.touch(cp.ID)
 	b.emit(Event{Time: cp.Submitted, Kind: EvSubmitted, Routine: cp.ID, Detail: cp.Name})
 	return res, cp
 }
@@ -512,10 +512,15 @@ func (b *base) emit(e Event) {
 	}
 }
 
+// Every mutation of a routine's Result record goes through one of the
+// helpers below, which mark the routine dirty for the next Export: a
+// mutation that skipped the mark would never reach the published overlay.
+
 func (b *base) markStarted(res *Result) {
 	res.Status = StatusRunning
 	res.Started = b.env.Now()
 	b.active++
+	b.export.touch(res.ID)
 	b.emit(Event{Time: res.Started, Kind: EvStarted, Routine: res.ID})
 }
 
@@ -524,7 +529,7 @@ func (b *base) markCommitted(res *Result) {
 	res.Finished = b.env.Now()
 	b.active--
 	b.finished++
-	b.export.noteFinished(res.ID)
+	b.export.touch(res.ID)
 	b.emit(Event{Time: res.Finished, Kind: EvCommitted, Routine: res.ID})
 }
 
@@ -538,8 +543,32 @@ func (b *base) markAborted(res *Result, reason string) {
 		b.active--
 	}
 	b.finished++
-	b.export.noteFinished(res.ID)
+	b.export.touch(res.ID)
 	b.emit(Event{Time: res.Finished, Kind: EvAborted, Routine: res.ID, Detail: reason})
+}
+
+// countSkipped records a command skipped because its condition did not hold.
+func (b *base) countSkipped(res *Result) {
+	res.Skipped++
+	b.export.touch(res.ID)
+}
+
+// countExecuted records a command that had an effect on the home.
+func (b *base) countExecuted(res *Result) {
+	res.Executed++
+	b.export.touch(res.ID)
+}
+
+// countBestEffortFailure records a failed best-effort command.
+func (b *base) countBestEffortFailure(res *Result) {
+	res.BestEffortFailures++
+	b.export.touch(res.ID)
+}
+
+// countRolledBack records n executed commands undone by an abort.
+func (b *base) countRolledBack(res *Result, n int) {
+	res.RolledBack += n
+	b.export.touch(res.ID)
 }
 
 // applyCommit folds a committed routine's final writes into the controller's
@@ -621,8 +650,7 @@ func (b *base) Preload(results []Result) {
 		b.results[res.ID] = &rec
 		b.submitted = append(b.submitted, res.ID)
 		b.finished++
-		b.export.noteOpen(res.ID)
-		b.export.noteFinished(res.ID)
+		b.export.touch(res.ID)
 	}
 }
 

@@ -54,7 +54,7 @@ func (c *wvController) step(run *wvRun) {
 	}
 	cmd := run.r.Commands[run.idx]
 	if !c.conditionMet(cmd) {
-		run.res.Skipped++
+		c.countSkipped(run.res)
 		c.emit(Event{Time: c.env.Now(), Kind: EvCommandSkipped, Routine: run.res.ID, Device: cmd.Device})
 		run.idx++
 		c.step(run)
@@ -69,11 +69,11 @@ func (c *wvController) step(run *wvRun) {
 func (c *wvController) commandDone(run *wvRun, idx int, err error) {
 	cmd := run.r.Commands[idx]
 	if err != nil {
-		run.res.BestEffortFailures++
+		c.countBestEffortFailure(run.res)
 		c.emit(Event{Time: c.env.Now(), Kind: EvCommandFailed, Routine: run.res.ID,
 			Device: cmd.Device, Detail: fmt.Sprintf("skipped: %v", err)})
 	} else {
-		run.res.Executed++
+		c.countExecuted(run.res)
 		c.emit(Event{Time: c.env.Now(), Kind: EvCommandExecuted, Routine: run.res.ID,
 			Device: cmd.Device, State: cmd.Target})
 	}
